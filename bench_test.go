@@ -139,7 +139,7 @@ func BenchmarkFigure12Execution(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx := &exec.Ctx{DB: e.DB, Q: q, Controller: exec.NopController{}}
-		if _, err := exec.Run(ctx, p.Clone()); err != nil {
+		if _, err := exec.RunBatch(ctx, p.Clone()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,7 +7,7 @@
 //	           parallel|observe|trainbench|execbench|storagebench|loadbench]
 //	           [-parallel N] [-o file]
 //	           [-trace] [-metrics-out file] [-bench-out file]
-//	           [-timeout D] [-max-mat-rows N] [-exec batch|scalar]
+//	           [-timeout D] [-max-mat-rows N]
 //	           [-exec-workers N] [-build-workers N]
 //	           [-segment-rows N] [-raw-scan]
 //	           [-models-in dir] [-train-workers N]
@@ -44,12 +44,9 @@
 // teacher model twice — serially and with -train-workers workers — asserts
 // the weights are bit-identical, and reports the speedup.
 //
-// "execbench" (also run automatically when -bench-out is set) measures the
-// vectorized batch executor against the scalar reference on a hash-join
-// probe hot path and across the JOB-like suite, asserting identical result
-// counts. -exec selects the executor for the observe experiment ("batch" is
-// the engine default; "scalar" forces the tuple-at-a-time reference path)
-// so the two can be compared under the full observability layer.
+// "execbench" (also run automatically when -bench-out is set) times the
+// batch executor on a hash-join probe hot path and across the JOB-like
+// suite, asserting its result counts equal the collect evaluator's.
 //
 // -exec-workers enables morsel-driven intra-query parallelism at the given
 // worker count (default 4; <= 1 keeps execution strictly serial). The
@@ -110,7 +107,6 @@ func main() {
 	maxMatRows := flag.Int64("max-mat-rows", 0, "per-query cap on materialized intermediate rows (0 = unlimited)")
 	modelsIn := flag.String("models-in", "", "load trained models from this artifact directory instead of training")
 	trainWorkers := flag.Int("train-workers", 0, "training worker goroutines (0 = serial; weights are identical for any value)")
-	execMode := flag.String("exec", "batch", "executor for the observe experiment: batch (default) or scalar")
 	execWorkers := flag.Int("exec-workers", 4, "morsel-parallelism worker count for observe/execbench (<= 1 = serial only)")
 	buildWorkers := flag.Int("build-workers", 0, "parallel segment-sealing workers for loads and stats refresh (0 = match -exec-workers)")
 	segmentRows := flag.Int("segment-rows", 0, "rows per columnar segment (0 = default; applies to data generated after startup)")
@@ -118,10 +114,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the experiment to this file")
 	flag.Parse()
-	if *execMode != "batch" && *execMode != "scalar" {
-		fmt.Fprintf(os.Stderr, "unknown -exec mode %q (want batch or scalar)\n", *execMode)
-		os.Exit(1)
-	}
 	if *metricsOut != "" || *benchOut != "" {
 		*trace = true
 	}
@@ -166,7 +158,7 @@ func main() {
 	opts := obsOpts{
 		metricsOut: *metricsOut, benchOut: *benchOut, scale: *scale, seed: *seed,
 		timeout: *timeout, maxMatRows: *maxMatRows, trainWorkers: *trainWorkers,
-		scalarExec: *execMode == "scalar", execWorkers: *execWorkers, rawScan: *rawScan,
+		execWorkers: *execWorkers, rawScan: *rawScan,
 		buildWorkers: bw,
 	}
 	// Profiles cover the experiment only; the setup phase (data generation
@@ -214,7 +206,6 @@ type obsOpts struct {
 	timeout      time.Duration
 	maxMatRows   int64
 	trainWorkers int
-	scalarExec   bool
 	execWorkers  int
 	buildWorkers int
 	rawScan      bool
@@ -280,7 +271,7 @@ func run(env *experiments.Env, exp string, workers int, w io.Writer, opts obsOpt
 		}
 		fmt.Fprintln(w, r.Render())
 		if !r.CountsIdentical {
-			return fmt.Errorf("exec bench: batch path result counts differ from scalar")
+			return fmt.Errorf("exec bench: batch path result counts differ from the collect evaluator")
 		}
 	case "storagebench":
 		r, err := experiments.StorageBench(opts.buildWorkers)
@@ -303,7 +294,7 @@ func run(env *experiments.Env, exp string, workers int, w io.Writer, opts obsOpt
 	case "observe":
 		r, err := experiments.ObservabilityWithOptions(env, experiments.ObsOptions{
 			Workers: workers, Timeout: opts.timeout, MaxMatRows: opts.maxMatRows,
-			ScalarExec: opts.scalarExec, ExecWorkers: opts.execWorkers, RawScan: opts.rawScan,
+			ExecWorkers: opts.execWorkers, RawScan: opts.rawScan,
 		})
 		if err != nil {
 			return err
@@ -326,7 +317,7 @@ func run(env *experiments.Env, exp string, workers int, w io.Writer, opts obsOpt
 				return fmt.Errorf("train bench: parallel weights differ from serial weights")
 			}
 			// ... and the executor benchmark, so it also watches batch-path
-			// regressions (correctness and speedup).
+			// regressions (correctness and walls).
 			eb, err := experiments.ExecBench(env, opts.execWorkers)
 			if err != nil {
 				return err
@@ -334,7 +325,7 @@ func run(env *experiments.Env, exp string, workers int, w io.Writer, opts obsOpt
 			snap.Exec = eb
 			fmt.Fprintln(w, eb.Render())
 			if !eb.CountsIdentical {
-				return fmt.Errorf("exec bench: batch path result counts differ from scalar")
+				return fmt.Errorf("exec bench: batch path result counts differ from the collect evaluator")
 			}
 			// ... and the serving benchmark, so it also watches the
 			// multi-tenant server path (throughput, tail latency, hot-swap).

@@ -1,16 +1,18 @@
 package exec
 
 import (
+	"fmt"
 	"sort"
 
 	"github.com/lpce-db/lpce/internal/plan"
+	"github.com/lpce-db/lpce/internal/query"
 	"github.com/lpce-db/lpce/internal/storage"
 )
 
 // pendingCharger accumulates per-tuple work charges and flushes them as one
 // lump, amortizing the charge call (and its budget/cancellation checks)
 // over a batch. flushAt bounds how much work can accrue between flushes so
-// cancellation latency stays close to the scalar path's poll interval.
+// cancellation latency stays close to cancelPollInterval.
 type pendingCharger struct {
 	pending int64
 }
@@ -38,7 +40,7 @@ func (p *pendingCharger) flushIfFull(ctx *Ctx) error {
 
 // batchHashJoin is the vectorized hash join: the build side is drained into
 // a flat arena and indexed by a vecTable during Open (one pipeline breaker
-// with a checkpoint, exactly like the scalar hashJoin), then probe batches
+// with a checkpoint, paper Figure 10a), then probe batches
 // stream from the left child and matches are emitted straight into the
 // output arena.
 type batchHashJoin struct {
@@ -330,8 +332,8 @@ func (m *batchMergeJoin) Close() {
 	m.lrows, m.rrows = nil, nil
 }
 
-// batchNLJoin is the vectorized nested loop join. As in the scalar nlJoin
-// (paper Figure 10c), the outer side is always materialized with a
+// batchNLJoin is the vectorized nested loop join. Following the paper's
+// Figure 10(c), the outer side is always materialized with a
 // checkpoint; the inner either probes a base table's hash index per outer
 // row or rescans a materialized buffer.
 type batchNLJoin struct {
@@ -525,4 +527,166 @@ func (j *batchNLJoin) Close() {
 		j.right.Close()
 	}
 	j.outer, j.inner = nil, nil
+}
+
+// sortCost is the work charged for sorting n drained rows: n log n
+// comparisons.
+func sortCost(n int) int64 {
+	if n <= 1 {
+		return 1
+	}
+	c := int64(n)
+	bits := int64(0)
+	for x := n; x > 1; x >>= 1 {
+		bits++
+	}
+	return c * bits
+}
+
+// joinMerge precomputes how to stitch a left tuple and a right tuple into
+// the output layout (tables in ascending local-index order).
+type joinMerge struct {
+	width int
+	segs  []mergeSeg
+}
+
+type mergeSeg struct {
+	fromLeft bool
+	srcOff   int
+	dstOff   int
+	n        int
+}
+
+func newJoinMerge(ctx *Ctx, left, right query.BitSet) joinMerge {
+	q := ctx.Q
+	leftLayout := ctx.Layout(left)
+	rightLayout := ctx.Layout(right)
+	out := ctx.Layout(left.Union(right))
+	var m joinMerge
+	m.width = out.Width()
+	for _, i := range left.Union(right).Indices() {
+		n := len(q.Tables[i].Columns)
+		if left.Has(i) {
+			m.segs = append(m.segs, mergeSeg{true, leftLayout.TableOffset(i), out.TableOffset(i), n})
+		} else {
+			m.segs = append(m.segs, mergeSeg{false, rightLayout.TableOffset(i), out.TableOffset(i), n})
+		}
+	}
+	return m
+}
+
+// merge stitches l and r into dst, growing it to the output width.
+func (m joinMerge) merge(dst, l, r Tuple) Tuple {
+	if cap(dst) < m.width {
+		dst = make(Tuple, m.width)
+	}
+	dst = dst[:m.width]
+	m.mergeFlat(dst, l, r)
+	return dst
+}
+
+// mergeFlat stitches l and r into dst, which must already have the output
+// width — the allocation-free variant the batch operators use to write
+// straight into a batch arena.
+func (m joinMerge) mergeFlat(dst, l, r []int64) {
+	for _, s := range m.segs {
+		src := r
+		if s.fromLeft {
+			src = l
+		}
+		copy(dst[s.dstOff:s.dstOff+s.n], src[s.srcOff:s.srcOff+s.n])
+	}
+}
+
+// condOffsets resolves a join condition's column offsets relative to the
+// left and right child layouts, swapping sides if needed.
+type condOffsets struct {
+	leftOff, rightOff int
+}
+
+func resolveConds(ctx *Ctx, conds []query.Join, left, right query.BitSet) ([]condOffsets, error) {
+	q := ctx.Q
+	leftLayout := ctx.Layout(left)
+	rightLayout := ctx.Layout(right)
+	out := make([]condOffsets, len(conds))
+	for i, c := range conds {
+		li, ri := q.TableIndex(c.Left.Table), q.TableIndex(c.Right.Table)
+		switch {
+		case left.Has(li) && right.Has(ri):
+			out[i] = condOffsets{leftLayout.ColOffset(c.Left), rightLayout.ColOffset(c.Right)}
+		case left.Has(ri) && right.Has(li):
+			out[i] = condOffsets{leftLayout.ColOffset(c.Right), rightLayout.ColOffset(c.Left)}
+		default:
+			return nil, fmt.Errorf("exec: join condition %v does not span children", c)
+		}
+	}
+	return out, nil
+}
+
+// hashRowConds hashes a tuple's join-key columns in place — bit-identical
+// to collect's hashKey over the gathered key, without materializing it.
+func hashRowConds(row []int64, conds []condOffsets, left bool) uint64 {
+	var h uint64 = 14695981039346656037
+	for _, c := range conds {
+		off := c.rightOff
+		if left {
+			off = c.leftOff
+		}
+		h ^= uint64(row[off])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// condsEqual reports whether a left and a right tuple agree on every join
+// condition.
+func condsEqual(conds []condOffsets, l, r []int64) bool {
+	for _, c := range conds {
+		if l[c.leftOff] != r[c.rightOff] {
+			return false
+		}
+	}
+	return true
+}
+
+// condsLess orders tuples of one side by their join-key columns.
+func condsLess(conds []condOffsets, a, b Tuple, left bool) bool {
+	for _, c := range conds {
+		off := c.rightOff
+		if left {
+			off = c.leftOff
+		}
+		if a[off] != b[off] {
+			return a[off] < b[off]
+		}
+	}
+	return false
+}
+
+// condsCompare compares a left tuple's key with a right tuple's key.
+func condsCompare(conds []condOffsets, l, r Tuple) int {
+	for _, c := range conds {
+		lv, rv := l[c.leftOff], r[c.rightOff]
+		if lv < rv {
+			return -1
+		}
+		if lv > rv {
+			return 1
+		}
+	}
+	return 0
+}
+
+// condsSameKey reports whether two tuples of the same side share a join key.
+func condsSameKey(conds []condOffsets, a, b Tuple, left bool) bool {
+	for _, c := range conds {
+		off := c.rightOff
+		if left {
+			off = c.leftOff
+		}
+		if a[off] != b[off] {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+
 	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
 	"github.com/lpce-db/lpce/internal/storage"
@@ -9,7 +11,7 @@ import (
 // batchSeqScan reads a base table in fixed chunks of physical rows,
 // evaluates the leaf predicates column-at-a-time into a selection vector,
 // and gathers the passing rows into the output arena. Work is charged per
-// chunk (1 per physical row examined, as in the scalar scan) — including
+// chunk (1 per physical row examined) — including
 // chunks the zone maps skip, so work accounting is independent of pruning.
 //
 // When the table is sealed and the scan has predicates, filtering and
@@ -209,9 +211,8 @@ func gatherRows(b *Batch, t *storage.Table, sel []int32) {
 	b.n = len(sel)
 }
 
-// batchIndexScan drives the scan from the IndexPred column's index (same
-// rid resolution as the scalar indexScan, including the 16-unit descent
-// charge) and applies the remaining predicates per chunk of rids. With the
+// batchIndexScan drives the scan from the IndexPred column's index (a
+// 16-unit descent charge, then 1 per rid examined) and applies the remaining predicates per chunk of rids. With the
 // segment layer available, a rid landing in a segment where some residual
 // predicate is zone-map-disproven is dropped before any column is read,
 // and the survivors are filtered and gathered through the encoded form.
@@ -299,7 +300,7 @@ func (s *batchIndexScan) NextBatch(ctx *Ctx) (*Batch, error) {
 func (s *batchIndexScan) Close() {}
 
 // batchMatScan replays a materialized intermediate result in chunks,
-// charging 1 per emitted row like the scalar matScan. Rows are copied into
+// charging 1 per emitted row. Rows are copied into
 // the arena because Mat.Rows may be retained by the controller.
 type batchMatScan struct {
 	node  *plan.Node
@@ -342,3 +343,49 @@ func (s *batchMatScan) NextBatch(ctx *Ctx) (*Batch, error) {
 }
 
 func (s *batchMatScan) Close() {}
+
+// rowMatches evaluates all predicates on one physical row.
+func rowMatches(t *storage.Table, row int, preds []query.Predicate) bool {
+	for _, p := range preds {
+		if !p.Eval(t.Cols[p.Col.Pos][row]) {
+			return false
+		}
+	}
+	return true
+}
+
+func errNoIndexPred(n *plan.Node) error {
+	return fmt.Errorf("exec: IndexScan on %s without an index predicate", n.Table.Name)
+}
+
+const (
+	minInt64 = int64(-1 << 63)
+	maxInt64 = int64(1<<63 - 1)
+)
+
+// resolveIndexRids resolves the row ids matching an index predicate. The
+// prev slice is reused for the OpIn gather; the other cases return
+// index-owned slices which callers must treat as read-only.
+func resolveIndexRids(t *storage.Table, p query.Predicate, prev []int32) ([]int32, error) {
+	switch p.Op {
+	case query.OpEQ:
+		return t.HashIndex(p.Col.Pos).Lookup(p.Operand), nil
+	case query.OpIn:
+		ix := t.HashIndex(p.Col.Pos)
+		rids := prev[:0]
+		for _, v := range p.InSet {
+			rids = append(rids, ix.Lookup(v)...)
+		}
+		return rids, nil
+	case query.OpLT:
+		return t.OrderedIndex(p.Col.Pos).Range(minInt64, p.Operand-1), nil
+	case query.OpLE:
+		return t.OrderedIndex(p.Col.Pos).Range(minInt64, p.Operand), nil
+	case query.OpGT:
+		return t.OrderedIndex(p.Col.Pos).Range(p.Operand+1, maxInt64), nil
+	case query.OpGE:
+		return t.OrderedIndex(p.Col.Pos).Range(p.Operand, maxInt64), nil
+	default:
+		return nil, fmt.Errorf("exec: operator %v cannot drive an index scan", p.Op)
+	}
+}

@@ -13,13 +13,19 @@ import (
 // output and stamping TrueCard on every node. This is the training-sample
 // collector (the paper obtains per-node cardinalities via EXPLAIN ANALYZE);
 // joins always run hashed since cardinalities do not depend on the physical
-// operator. It returns the root cardinality.
+// operator. It returns the root cardinality; a root join only counts its
+// output rows (charging the same work) instead of materializing them.
 func RunCollect(ctx *Ctx, root *plan.Node) (int, error) {
-	rows, err := collect(ctx, root)
+	if root.IsLeaf() {
+		rows, err := collect(ctx, root)
+		return len(rows), err
+	}
+	l, r, err := collectChildren(ctx, root)
 	if err != nil {
 		return 0, err
 	}
-	return len(rows), nil
+	_, n, err := collectJoin(ctx, root, l, r, false)
+	return n, err
 }
 
 func collect(ctx *Ctx, n *plan.Node) ([][]int64, error) {
@@ -30,16 +36,23 @@ func collect(ctx *Ctx, n *plan.Node) ([][]int64, error) {
 	case n.IsLeaf():
 		return collectScan(ctx, n)
 	default:
-		l, err := collect(ctx, n.Left)
+		l, r, err := collectChildren(ctx, n)
 		if err != nil {
 			return nil, err
 		}
-		r, err := collect(ctx, n.Right)
-		if err != nil {
-			return nil, err
-		}
-		return collectJoin(ctx, n, l, r)
+		rows, _, err := collectJoin(ctx, n, l, r, true)
+		return rows, err
 	}
+}
+
+func collectChildren(ctx *Ctx, n *plan.Node) (l, r [][]int64, err error) {
+	if l, err = collect(ctx, n.Left); err != nil {
+		return nil, nil, err
+	}
+	if r, err = collect(ctx, n.Right); err != nil {
+		return nil, nil, err
+	}
+	return l, r, nil
 }
 
 func collectScan(ctx *Ctx, n *plan.Node) ([][]int64, error) {
@@ -64,10 +77,13 @@ func collectScan(ctx *Ctx, n *plan.Node) ([][]int64, error) {
 	return out, nil
 }
 
-func collectJoin(ctx *Ctx, n *plan.Node, left, right [][]int64) ([][]int64, error) {
+// collectJoin hash-joins two materialized inputs and stamps the node's
+// TrueCard. It returns the output rows when keep is set, and always their
+// count.
+func collectJoin(ctx *Ctx, n *plan.Node, left, right [][]int64, keep bool) ([][]int64, int, error) {
 	conds, err := resolveConds(ctx, n.JoinConds, n.Left.Tables, n.Right.Tables)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	merge := newJoinMerge(ctx, n.Left.Tables, n.Right.Tables)
 
@@ -91,10 +107,11 @@ func collectJoin(ctx *Ctx, n *plan.Node, left, right [][]int64) ([][]int64, erro
 		k := hashKey(key)
 		table[k] = append(table[k], row)
 		if err := ctx.charge(1); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	var out [][]int64
+	count := 0
 	for _, row := range probe {
 		for i, c := range conds {
 			if buildRight {
@@ -104,11 +121,11 @@ func collectJoin(ctx *Ctx, n *plan.Node, left, right [][]int64) ([][]int64, erro
 			}
 		}
 		if err := ctx.charge(1); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		for _, m := range table[hashKey(key)] {
 			if err := ctx.charge(1); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			l, r := row, m
 			if !buildRight {
@@ -124,18 +141,18 @@ func collectJoin(ctx *Ctx, n *plan.Node, left, right [][]int64) ([][]int64, erro
 			if !match {
 				continue
 			}
-			t := merge.merge(nil, l, r)
 			// width-weighted charge: the budget bounds buffered memory
-			if err := ctx.charge(int64(len(t)) / 4); err != nil {
-				return nil, err
+			if err := ctx.charge(int64(merge.width) / 4); err != nil {
+				return nil, 0, err
 			}
-			cp := make([]int64, len(t))
-			copy(cp, t)
-			out = append(out, cp)
+			count++
+			if keep {
+				out = append(out, merge.merge(nil, l, r))
+			}
 		}
 	}
-	n.TrueCard = float64(len(out))
-	return out, nil
+	n.TrueCard = float64(count)
+	return out, count, nil
 }
 
 // TrueCardOracle computes exact cardinalities for arbitrary table subsets
@@ -246,4 +263,15 @@ func CanonicalPlan(q *query.Query, mask query.BitSet) *plan.Node {
 		covered = covered.Set(i)
 	}
 	return cur
+}
+
+// hashKey mixes the join-key values of a tuple into a single hash; matches
+// are verified value-by-value so collisions only cost time.
+func hashKey(vals []int64) uint64 {
+	var h uint64 = 14695981039346656037
+	for _, v := range vals {
+		h ^= uint64(v)
+		h *= 1099511628211
+	}
+	return h
 }

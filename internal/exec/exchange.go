@@ -18,8 +18,8 @@ var errExchangeStopped = errors.New("exec: exchange stopped")
 // work counters. The coordinator replays the recorded amounts on the real
 // Ctx in morsel order, so budget trips, work totals, and their interleaving
 // with checkpoints are identical to the serial batch path for any worker
-// count. The recorder still polls cancellation at the scalar path's
-// interval, keeping cancellation latency bounded even though the budget
+// count. The recorder still polls cancellation every cancelPollInterval
+// units, keeping cancellation latency bounded even though the budget
 // verdict itself is the coordinator's.
 type morselRecorder struct {
 	cancel    context.Context
@@ -77,7 +77,7 @@ type morselItem struct {
 // stamps, checkpoint sequences, work and materialization totals, and typed
 // errors are byte-identical to the serial batch path for any worker count.
 //
-// Pipelines the exchange cannot split (merge joins, scalar-wrapped
+// Pipelines the exchange cannot split (merge joins, ctx.Wrap-wrapped
 // operators, single-morsel inputs) pass through to the inner operator
 // untouched.
 type exchangeOp struct {

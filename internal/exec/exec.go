@@ -1,8 +1,8 @@
-// Package exec implements the Volcano-style pipelined execution engine. It
-// mirrors the PostgreSQL behaviours the paper depends on (§6):
+// Package exec implements the vectorized Volcano-style execution engine.
+// It mirrors the PostgreSQL behaviours the paper depends on (§6):
 //
-//   - pipelined processing: tuples flow through operators without
-//     materialization except at pipeline breakers;
+//   - pipelined processing: batches of tuples flow through operators
+//     without materialization except at pipeline breakers;
 //   - pipeline breakers that buffer tuples: the build side of a hash join,
 //     both sorted inputs of a merge join, and (added by the paper, Figure
 //     10c) the outer side of a nested loop join;
@@ -13,6 +13,9 @@
 //
 // Every operator counts its output rows, so a completed execution leaves
 // exact cardinalities (the paper's EXPLAIN ANALYZE counters) on the plan.
+// RunBatch is the executor; RunCollect is a materialize-everything
+// evaluator that shares no operator code with it and serves as the
+// training-sample collector and the test oracle.
 package exec
 
 import (
@@ -82,11 +85,13 @@ type NopController struct{}
 // OnMaterialized implements Controller.
 func (NopController) OnMaterialized(*plan.Node, [][]int64) error { return nil }
 
-// WrapFunc intercepts operator construction: Build applies it to every
+// WrapFunc intercepts operator construction: BuildBatch applies it to every
 // operator it creates (outermost, above the tracing shim). The
 // fault-injection harness uses it to wrap chosen operators with injected
-// errors and stalls; a nil WrapFunc costs one pointer check per Build call.
-type WrapFunc func(ctx *Ctx, op Operator, n *plan.Node) Operator
+// errors and stalls; a nil WrapFunc costs one pointer check per operator.
+// A wrapped operator is opaque to the exchange, so its pipeline runs
+// serially.
+type WrapFunc func(ctx *Ctx, op BatchOperator, n *plan.Node) BatchOperator
 
 // Ctx carries the per-execution state shared by all operators.
 type Ctx struct {
@@ -95,7 +100,7 @@ type Ctx struct {
 	Controller Controller
 	// Trace, when non-nil, collects per-operator runtime stats (rows,
 	// estimated vs actual cardinality, inclusive wall time) for this
-	// execution attempt: Build wraps every operator in a timing shim. A nil
+	// execution attempt: BuildBatch wraps every operator in a timing shim. A nil
 	// Trace leaves the operator tree untouched, so disabled tracing costs
 	// nothing.
 	Trace *obs.ExecTrace
@@ -104,7 +109,7 @@ type Ctx struct {
 	// cancelPollInterval units, unwinding with the context's error (deadline
 	// or caller cancellation) mid-pipeline.
 	Context context.Context
-	// Wrap, when non-nil, is applied to every operator Build constructs.
+	// Wrap, when non-nil, is applied to every operator BuildBatch constructs.
 	Wrap WrapFunc
 	// Budget bounds the total work units (tuples scanned, probed, emitted);
 	// zero means unlimited.
@@ -216,19 +221,10 @@ func (c *Ctx) charge(n int64) error {
 	return nil
 }
 
-// chargeMat accounts one materialized row against the buffered-rows budget.
-func (c *Ctx) chargeMat() error {
-	c.matRows++
-	if c.MaxMatRows > 0 && c.matRows > c.MaxMatRows {
-		return &ResourceError{Resource: "materialized-rows", Limit: c.MaxMatRows, Used: c.matRows}
-	}
-	return nil
-}
-
-// chargeMatN accounts n materialized rows at once — the batch path's
-// counterpart of chargeMat. When the lump would cross the limit it stops at
-// the first exceeding row, so the counter and the *ResourceError payload are
-// identical to n scalar chargeMat calls.
+// chargeMatN accounts n materialized rows against the buffered-rows budget.
+// When the lump would cross the limit it stops at the first exceeding row,
+// so the counter and the *ResourceError payload are those of n one-row
+// charges.
 func (c *Ctx) chargeMatN(n int64) error {
 	if c.MaxMatRows > 0 && c.matRows+n > c.MaxMatRows {
 		c.matRows = c.MaxMatRows + 1
@@ -245,272 +241,10 @@ func (c *Ctx) MatRows() int64 { return c.matRows }
 // effort used by tests.
 func (c *Ctx) Work() int64 { return c.work }
 
-// Operator is the Volcano iterator interface.
-type Operator interface {
-	Open(ctx *Ctx) error
-	Next(ctx *Ctx) (Tuple, bool, error)
-	Close()
-}
-
-// Build constructs the operator tree for a physical plan. With ctx.Trace
-// set, every operator (this node and, through the recursive constructor
-// calls, all children) is wrapped in a stats-collecting shim.
-func Build(ctx *Ctx, n *plan.Node) (Operator, error) {
-	var op Operator
-	var err error
-	switch n.Op {
-	case plan.SeqScan:
-		op = newSeqScan(ctx, n)
-	case plan.IndexScan:
-		op, err = newIndexScan(ctx, n)
-	case plan.MatScan:
-		op = newMatScan(n)
-	case plan.HashJoin:
-		op, err = newHashJoin(ctx, n)
-	case plan.MergeJoin:
-		op, err = newMergeJoin(ctx, n)
-	case plan.NestLoopJoin:
-		op, err = newNLJoin(ctx, n)
-	default:
-		return nil, fmt.Errorf("exec: unknown operator %v", n.Op)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if ctx.Trace != nil {
-		op = &tracedOp{inner: op, node: n, tr: ctx.Trace}
-	}
-	if ctx.Wrap != nil {
-		op = ctx.Wrap(ctx, op, n)
-	}
-	return op, nil
-}
-
-// Run executes the plan and returns the COUNT(*) result. On a
-// *ReoptSignal or ErrBudget the error is returned with the rows counted so
-// far discarded.
-func Run(ctx *Ctx, root *plan.Node) (int, error) {
-	op, err := Build(ctx, root)
-	if err != nil {
-		return 0, err
-	}
-	defer op.Close()
-	if err := op.Open(ctx); err != nil {
-		return 0, err
-	}
-	count := 0
-	for {
-		_, ok, err := op.Next(ctx)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		count++
-	}
-	root.TrueCard = float64(count)
-	return count, nil
-}
-
-// drain pulls every tuple from a child operator into a buffer, counting
-// work, and stamps the child's true cardinality. It is the shared
-// materialization routine of the pipeline breakers.
-func drain(ctx *Ctx, node *plan.Node, op Operator) ([][]int64, error) {
-	// Close the child on every exit, not just the clean one: a budget or
-	// cancellation error mid-drain must still tear down the child's own
-	// subtree. Operators tolerate the caller's second Close.
-	defer op.Close()
-	if err := op.Open(ctx); err != nil {
-		return nil, err
-	}
-	var rows [][]int64
-	for {
-		t, ok, err := op.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		// materialization cost scales with tuple width, which also keeps
-		// the work budget an effective bound on buffered memory
-		if err := ctx.charge(1 + int64(len(t))/4); err != nil {
-			return nil, err
-		}
-		if err := ctx.chargeMat(); err != nil {
-			return nil, err
-		}
-		cp := make([]int64, len(t))
-		copy(cp, t)
-		rows = append(rows, cp)
-	}
-	node.TrueCard = float64(len(rows))
-	return rows, nil
-}
-
 // checkpoint reports a completed materialization to the controller.
 func checkpoint(ctx *Ctx, node *plan.Node, rows [][]int64) error {
 	if ctx.Controller == nil {
 		return nil
 	}
 	return ctx.Controller.OnMaterialized(node, rows)
-}
-
-// joinMerge precomputes how to stitch a left tuple and a right tuple into
-// the output layout (tables in ascending local-index order).
-type joinMerge struct {
-	width int
-	segs  []mergeSeg
-}
-
-type mergeSeg struct {
-	fromLeft bool
-	srcOff   int
-	dstOff   int
-	n        int
-}
-
-func newJoinMerge(ctx *Ctx, left, right query.BitSet) joinMerge {
-	q := ctx.Q
-	leftLayout := ctx.Layout(left)
-	rightLayout := ctx.Layout(right)
-	out := ctx.Layout(left.Union(right))
-	var m joinMerge
-	m.width = out.Width()
-	for _, i := range left.Union(right).Indices() {
-		n := len(q.Tables[i].Columns)
-		if left.Has(i) {
-			m.segs = append(m.segs, mergeSeg{true, leftLayout.TableOffset(i), out.TableOffset(i), n})
-		} else {
-			m.segs = append(m.segs, mergeSeg{false, rightLayout.TableOffset(i), out.TableOffset(i), n})
-		}
-	}
-	return m
-}
-
-func (m joinMerge) merge(dst, l, r Tuple) Tuple {
-	if cap(dst) < m.width {
-		dst = make(Tuple, m.width)
-	}
-	dst = dst[:m.width]
-	m.mergeFlat(dst, l, r)
-	return dst
-}
-
-// mergeFlat stitches l and r into dst, which must already have the output
-// width — the allocation-free variant the batch operators use to write
-// straight into a batch arena.
-func (m joinMerge) mergeFlat(dst, l, r []int64) {
-	for _, s := range m.segs {
-		src := r
-		if s.fromLeft {
-			src = l
-		}
-		copy(dst[s.dstOff:s.dstOff+s.n], src[s.srcOff:s.srcOff+s.n])
-	}
-}
-
-// condOffsets resolves a join condition's column offsets relative to the
-// left and right child layouts, swapping sides if needed.
-type condOffsets struct {
-	leftOff, rightOff int
-}
-
-func resolveConds(ctx *Ctx, conds []query.Join, left, right query.BitSet) ([]condOffsets, error) {
-	q := ctx.Q
-	leftLayout := ctx.Layout(left)
-	rightLayout := ctx.Layout(right)
-	out := make([]condOffsets, len(conds))
-	for i, c := range conds {
-		li, ri := q.TableIndex(c.Left.Table), q.TableIndex(c.Right.Table)
-		switch {
-		case left.Has(li) && right.Has(ri):
-			out[i] = condOffsets{leftLayout.ColOffset(c.Left), rightLayout.ColOffset(c.Right)}
-		case left.Has(ri) && right.Has(li):
-			out[i] = condOffsets{leftLayout.ColOffset(c.Right), rightLayout.ColOffset(c.Left)}
-		default:
-			return nil, fmt.Errorf("exec: join condition %v does not span children", c)
-		}
-	}
-	return out, nil
-}
-
-// hashKey mixes the join-key values of a tuple into a single hash; matches
-// are verified value-by-value so collisions only cost time.
-func hashKey(vals []int64) uint64 {
-	var h uint64 = 14695981039346656037
-	for _, v := range vals {
-		h ^= uint64(v)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// hashRowConds hashes a tuple's join-key columns in place — bit-identical
-// to hashKey over the gathered key, without materializing it.
-func hashRowConds(row []int64, conds []condOffsets, left bool) uint64 {
-	var h uint64 = 14695981039346656037
-	for _, c := range conds {
-		off := c.rightOff
-		if left {
-			off = c.leftOff
-		}
-		h ^= uint64(row[off])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// condsEqual reports whether a left and a right tuple agree on every join
-// condition.
-func condsEqual(conds []condOffsets, l, r []int64) bool {
-	for _, c := range conds {
-		if l[c.leftOff] != r[c.rightOff] {
-			return false
-		}
-	}
-	return true
-}
-
-// condsLess orders tuples of one side by their join-key columns.
-func condsLess(conds []condOffsets, a, b Tuple, left bool) bool {
-	for _, c := range conds {
-		off := c.rightOff
-		if left {
-			off = c.leftOff
-		}
-		if a[off] != b[off] {
-			return a[off] < b[off]
-		}
-	}
-	return false
-}
-
-// condsCompare compares a left tuple's key with a right tuple's key.
-func condsCompare(conds []condOffsets, l, r Tuple) int {
-	for _, c := range conds {
-		lv, rv := l[c.leftOff], r[c.rightOff]
-		if lv < rv {
-			return -1
-		}
-		if lv > rv {
-			return 1
-		}
-	}
-	return 0
-}
-
-// condsSameKey reports whether two tuples of the same side share a join key.
-func condsSameKey(conds []condOffsets, a, b Tuple, left bool) bool {
-	for _, c := range conds {
-		off := c.rightOff
-		if left {
-			off = c.leftOff
-		}
-		if a[off] != b[off] {
-			return false
-		}
-	}
-	return true
 }

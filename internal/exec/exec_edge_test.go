@@ -42,7 +42,7 @@ func TestMergeJoinDuplicateGroups(t *testing.T) {
 	for _, op := range []plan.PhysOp{plan.HashJoin, plan.MergeJoin, plan.NestLoopJoin} {
 		p := CanonicalPlan(q, q.AllTablesMask())
 		setJoinOps(p, op)
-		got, err := Run(&Ctx{DB: db, Q: q}, p)
+		got, err := RunBatch(&Ctx{DB: db, Q: q}, p)
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
@@ -64,7 +64,7 @@ func TestEmptyResultAllOperators(t *testing.T) {
 	for _, op := range []plan.PhysOp{plan.HashJoin, plan.MergeJoin, plan.NestLoopJoin} {
 		p := CanonicalPlan(q, q.AllTablesMask())
 		setJoinOps(p, op)
-		got, err := Run(&Ctx{DB: db, Q: q}, p)
+		got, err := RunBatch(&Ctx{DB: db, Q: q}, p)
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
@@ -81,7 +81,7 @@ func TestIndexScanWithInPredicate(t *testing.T) {
 		[]query.Predicate{{Col: l.Column("k"), Op: query.OpIn, InSet: []int64{7, 9}}})
 	leaf := plan.NewLeaf(plan.IndexScan, l, 0, q.PredsOn(l))
 	leaf.IndexPred = &leaf.Preds[0]
-	got, err := Run(&Ctx{DB: db, Q: q}, leaf)
+	got, err := RunBatch(&Ctx{DB: db, Q: q}, leaf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestIndexScanEqualityUsesHashIndex(t *testing.T) {
 		[]query.Predicate{{Col: l.Column("k"), Op: query.OpEQ, Operand: 7}})
 	leaf := plan.NewLeaf(plan.IndexScan, l, 0, q.PredsOn(l))
 	leaf.IndexPred = &leaf.Preds[0]
-	got, err := Run(&Ctx{DB: db, Q: q}, leaf)
+	got, err := RunBatch(&Ctx{DB: db, Q: q}, leaf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestNLJoinRescanPath(t *testing.T) {
 		inner := CanonicalPlan(q, m12)
 		outer := plan.NewLeaf(plan.SeqScan, q.Tables[0], 0, q.PredsOn(q.Tables[0]))
 		root := plan.NewJoin(plan.NestLoopJoin, outer, inner, q.JoinsBetween(m0, m12))
-		got, err := Run(&Ctx{DB: db, Q: q}, root)
+		got, err := RunBatch(&Ctx{DB: db, Q: q}, root)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestMultiConditionJoin(t *testing.T) {
 	for _, op := range []plan.PhysOp{plan.HashJoin, plan.MergeJoin, plan.NestLoopJoin} {
 		p := CanonicalPlan(q, q.AllTablesMask())
 		setJoinOps(p, op)
-		got, err := Run(&Ctx{DB: db, Q: q}, p)
+		got, err := RunBatch(&Ctx{DB: db, Q: q}, p)
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}

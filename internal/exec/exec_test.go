@@ -31,7 +31,7 @@ func TestRunMatchesBruteForce(t *testing.T) {
 		q := g.Query(1 + i%2)
 		want := testutil.BruteCount(db, q)
 		p := CanonicalPlan(q, q.AllTablesMask())
-		got, err := Run(newCtx(db, q), p)
+		got, err := RunBatch(newCtx(db, q), p)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -53,7 +53,7 @@ func TestAllJoinOperatorsAgree(t *testing.T) {
 		for _, op := range []plan.PhysOp{plan.HashJoin, plan.MergeJoin, plan.NestLoopJoin} {
 			p := CanonicalPlan(q, q.AllTablesMask())
 			setJoinOps(p, op)
-			got, err := Run(newCtx(db, q), p)
+			got, err := RunBatch(newCtx(db, q), p)
 			if err != nil {
 				t.Fatalf("query %d op %v: %v", i, op, err)
 			}
@@ -82,7 +82,7 @@ func TestBushyPlanAgrees(t *testing.T) {
 		left := CanonicalPlan(q, m01)
 		right := CanonicalPlan(q, m23)
 		root := plan.NewJoin(plan.HashJoin, left, right, q.JoinsBetween(m01, m23))
-		got, err := Run(newCtx(db, q), root)
+		got, err := RunBatch(newCtx(db, q), root)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestIndexScanAgreesWithSeqScan(t *testing.T) {
 	for i := 0; i < 40 && tested < 10; i++ {
 		q := g.Query(1)
 		p := CanonicalPlan(q, q.AllTablesMask())
-		ref, err := Run(newCtx(db, q), p.Clone())
+		ref, err := RunBatch(newCtx(db, q), p.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestIndexScanAgreesWithSeqScan(t *testing.T) {
 			continue
 		}
 		tested++
-		got, err := Run(newCtx(db, q), idxPlan)
+		got, err := RunBatch(newCtx(db, q), idxPlan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestCheckpointsFireAtPipelineBreakers(t *testing.T) {
 	p := CanonicalPlan(q, q.AllTablesMask()) // two hash joins
 	rc := &recordingController{}
 	ctx := &Ctx{DB: db, Q: q, Controller: rc}
-	if _, err := Run(ctx, p); err != nil {
+	if _, err := RunBatch(ctx, p); err != nil {
 		t.Fatal(err)
 	}
 	// each hash join checkpoints its build (right) side: 2 events
@@ -188,7 +188,7 @@ func TestCheckpointsFireAtPipelineBreakers(t *testing.T) {
 	p2 := CanonicalPlan(q, q.AllTablesMask())
 	setJoinOps(p2, plan.MergeJoin)
 	rc2 := &recordingController{}
-	if _, err := Run(&Ctx{DB: db, Q: q, Controller: rc2}, p2); err != nil {
+	if _, err := RunBatch(&Ctx{DB: db, Q: q, Controller: rc2}, p2); err != nil {
 		t.Fatal(err)
 	}
 	if len(rc2.events) != 4 {
@@ -204,7 +204,7 @@ func TestReoptSignalPropagates(t *testing.T) {
 	// fail at the first hash build: the rightmost leaf of the lower join
 	failMask := p.Left.Right.Tables
 	rc := &recordingController{failAt: failMask}
-	_, err := Run(&Ctx{DB: db, Q: q, Controller: rc}, p)
+	_, err := RunBatch(&Ctx{DB: db, Q: q, Controller: rc}, p)
 	var sig *ReoptSignal
 	if !errors.As(err, &sig) {
 		t.Fatalf("expected ReoptSignal, got %v", err)
@@ -223,7 +223,7 @@ func TestBudgetEnforced(t *testing.T) {
 	q := g.Query(3)
 	p := CanonicalPlan(q, q.AllTablesMask())
 	ctx := &Ctx{DB: db, Q: q, Controller: NopController{}, Budget: 10}
-	_, err := Run(ctx, p)
+	_, err := RunBatch(ctx, p)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("expected ErrBudget, got %v", err)
 	}
@@ -255,7 +255,7 @@ func TestMatScanReplay(t *testing.T) {
 		t.Skip("no join between materialized pair and remainder")
 	}
 	root := plan.NewJoin(plan.HashJoin, leaf, rest, conds)
-	got, err := Run(newCtx(db, q), root)
+	got, err := RunBatch(newCtx(db, q), root)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,8 +136,8 @@ type pipeNode struct {
 // streaming edge — hash joins stream their left child; every other operator
 // either is a source or materializes its children in Open — and returns the
 // pipeline stages bottom-up plus the morsel source at the bottom. It returns
-// ok=false when any stage is not morsel-aware (scalar-wrapped lift adapters,
-// merge joins, test wrappers), in which case the caller keeps the serial
+// ok=false when any stage is not morsel-aware (merge joins, operators
+// replaced by ctx.Wrap), in which case the caller keeps the serial
 // path.
 func extractPipeline(op BatchOperator) ([]pipeNode, morselSource, bool) {
 	var rev []pipeNode

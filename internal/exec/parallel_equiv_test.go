@@ -15,13 +15,14 @@ import (
 )
 
 // The morsel-driven parallel path must be observationally identical to the
-// scalar reference for every worker count: same counts, same result rows in
-// the same order, same TrueCard stamps, same checkpoint sequences, the same
-// work and materialization totals on success, and the same typed errors
-// under budget / MaxMatRows / reopt / cancellation. These tests sweep
-// Workers ∈ {1, 2, 4, 8} over the same randomized corpus as the serial
-// equivalence suite, with morselSize shrunk so the tiny fixtures split into
-// many morsels.
+// serial batch path for every worker count: same counts, same result rows
+// in the same order, same TrueCard stamps, same checkpoint sequences, the
+// same work and materialization totals on success, and the same typed
+// errors under budget / MaxMatRows / reopt / cancellation. These tests
+// sweep Workers ∈ {1, 2, 4, 8} over the same randomized corpus as the
+// serial equivalence suite (which pins serial batch to the golden fixture
+// and the collect evaluator), with morselSize shrunk so the tiny fixtures
+// split into many morsels.
 
 var parallelWorkerCounts = []int{1, 2, 4, 8}
 
@@ -38,41 +39,10 @@ func shrinkMorsels(t *testing.T) {
 	t.Cleanup(SetExchangeWorkerCap(64))
 }
 
-// runPathWorkers executes a plan on the batch path behind maybeExchange with
-// the given worker count — the same wiring RunBatch uses — returning the
-// count, an order-sensitive content hash of the emitted rows, and the error.
-func runPathWorkers(ctx *Ctx, p *plan.Node, workers int) (int, uint64, error) {
+// runPathWorkers runs a plan through runPath with the given worker count.
+func runPathWorkers(ctx *Ctx, p *plan.Node, workers int) (rowDigest, error) {
 	ctx.ExecWorkers = workers
-	var hash uint64 = 14695981039346656037
-	op, err := BuildBatch(ctx, p)
-	if err != nil {
-		return 0, 0, err
-	}
-	op = maybeExchange(ctx, op)
-	defer op.Close()
-	if err := op.Open(ctx); err != nil {
-		return 0, 0, err
-	}
-	count := 0
-	for {
-		b, err := op.NextBatch(ctx)
-		if err != nil {
-			return 0, 0, err
-		}
-		if b == nil {
-			break
-		}
-		for i := 0; i < b.Len(); i++ {
-			row := b.Row(i)
-			for _, v := range row {
-				hash ^= uint64(v)
-				hash *= 1099511628211
-			}
-		}
-		count += b.Len()
-	}
-	p.TrueCard = float64(count)
-	return count, hash, nil
+	return runPath(ctx, p)
 }
 
 func TestScalarBatchParallelEquivalence(t *testing.T) {
@@ -82,30 +52,30 @@ func TestScalarBatchParallelEquivalence(t *testing.T) {
 		ps := p.Clone()
 		rcS := &ckptRecorder{}
 		ctxS := &Ctx{DB: db, Q: q, Controller: rcS}
-		cS, hS, errS := runPath(ctxS, ps, false)
+		dS, errS := runPath(ctxS, ps)
 		if errS != nil {
-			t.Fatalf("%s/%s: scalar err %v", q.SQL(), variant, errS)
+			t.Fatalf("%s/%s: serial err %v", q.SQL(), variant, errS)
 		}
 		tcS := trueCards(ps)
 		for _, w := range parallelWorkerCounts {
 			pw := p.Clone()
 			rcW := &ckptRecorder{}
 			ctxW := &Ctx{DB: db, Q: q, Controller: rcW}
-			cW, hW, errW := runPathWorkers(ctxW, pw, w)
+			dW, errW := runPathWorkers(ctxW, pw, w)
 			if errW != nil {
 				t.Fatalf("%s/%s w=%d: err %v", q.SQL(), variant, w, errW)
 			}
-			if cW != cS || hW != hS {
-				t.Fatalf("%s/%s w=%d: count/hash %d/%x, scalar %d/%x", q.SQL(), variant, w, cW, hW, cS, hS)
+			if dW.count != dS.count || dW.ordered != dS.ordered {
+				t.Fatalf("%s/%s w=%d: count/hash %d/%x, serial %d/%x", q.SQL(), variant, w, dW.count, dW.ordered, dS.count, dS.ordered)
 			}
 			if ctxW.Work() != ctxS.Work() {
-				t.Fatalf("%s/%s w=%d: work %d, scalar %d", q.SQL(), variant, w, ctxW.Work(), ctxS.Work())
+				t.Fatalf("%s/%s w=%d: work %d, serial %d", q.SQL(), variant, w, ctxW.Work(), ctxS.Work())
 			}
 			if ctxW.MatRows() != ctxS.MatRows() {
-				t.Fatalf("%s/%s w=%d: matRows %d, scalar %d", q.SQL(), variant, w, ctxW.MatRows(), ctxS.MatRows())
+				t.Fatalf("%s/%s w=%d: matRows %d, serial %d", q.SQL(), variant, w, ctxW.MatRows(), ctxS.MatRows())
 			}
 			if len(rcW.events) != len(rcS.events) {
-				t.Fatalf("%s/%s w=%d: %d checkpoints, scalar %d", q.SQL(), variant, w, len(rcW.events), len(rcS.events))
+				t.Fatalf("%s/%s w=%d: %d checkpoints, serial %d", q.SQL(), variant, w, len(rcW.events), len(rcS.events))
 			}
 			for i := range rcS.events {
 				if rcW.events[i] != rcS.events[i] {
@@ -116,7 +86,7 @@ func TestScalarBatchParallelEquivalence(t *testing.T) {
 			tcW := trueCards(pw)
 			for mask, v := range tcS {
 				if tcW[mask] != v {
-					t.Fatalf("%s/%s w=%d: TrueCard at %b: %v, scalar %v", q.SQL(), variant, w, uint32(mask), tcW[mask], v)
+					t.Fatalf("%s/%s w=%d: TrueCard at %b: %v, serial %v", q.SQL(), variant, w, uint32(mask), tcW[mask], v)
 				}
 			}
 		}
@@ -128,7 +98,7 @@ func TestScalarBatchParallelEquivalenceUnderBudget(t *testing.T) {
 	db := testutil.TinyDB()
 	equivCorpus(t, db, 42, 4, func(q *query.Query, p *plan.Node, variant string) {
 		probe := &Ctx{DB: db, Q: q, Controller: NopController{}}
-		if _, err := Run(probe, p.Clone()); err != nil {
+		if _, err := RunBatch(probe, p.Clone()); err != nil {
 			t.Fatalf("%s/%s: unlimited run failed: %v", q.SQL(), variant, err)
 		}
 		total := probe.Work()
@@ -138,16 +108,16 @@ func TestScalarBatchParallelEquivalenceUnderBudget(t *testing.T) {
 			}
 			rcS := &ckptRecorder{}
 			ctxS := &Ctx{DB: db, Q: q, Controller: rcS, Budget: budget}
-			_, _, errS := runPath(ctxS, p.Clone(), false)
+			_, errS := runPath(ctxS, p.Clone())
 			for _, w := range []int{2, 4} {
 				rcW := &ckptRecorder{}
 				ctxW := &Ctx{DB: db, Q: q, Controller: rcW, Budget: budget}
-				_, _, errW := runPathWorkers(ctxW, p.Clone(), w)
+				_, errW := runPathWorkers(ctxW, p.Clone(), w)
 				if !sameTypedError(errS, errW) {
-					t.Fatalf("%s/%s budget %d w=%d: scalar err %v, parallel err %v", q.SQL(), variant, budget, w, errS, errW)
+					t.Fatalf("%s/%s budget %d w=%d: serial err %v, parallel err %v", q.SQL(), variant, budget, w, errS, errW)
 				}
 				if len(rcW.events) != len(rcS.events) {
-					t.Fatalf("%s/%s budget %d w=%d: %d checkpoints, scalar %d",
+					t.Fatalf("%s/%s budget %d w=%d: %d checkpoints, serial %d",
 						q.SQL(), variant, budget, w, len(rcW.events), len(rcS.events))
 				}
 				for i := range rcS.events {
@@ -165,7 +135,7 @@ func TestScalarBatchParallelEquivalenceUnderMatLimit(t *testing.T) {
 	db := testutil.TinyDB()
 	equivCorpus(t, db, 43, 4, func(q *query.Query, p *plan.Node, variant string) {
 		probe := &Ctx{DB: db, Q: q, Controller: NopController{}}
-		if _, err := Run(probe, p.Clone()); err != nil {
+		if _, err := RunBatch(probe, p.Clone()); err != nil {
 			t.Fatal(err)
 		}
 		total := probe.MatRows()
@@ -177,19 +147,19 @@ func TestScalarBatchParallelEquivalenceUnderMatLimit(t *testing.T) {
 				continue
 			}
 			ctxS := &Ctx{DB: db, Q: q, Controller: NopController{}, MaxMatRows: limit}
-			_, _, errS := runPath(ctxS, p.Clone(), false)
+			_, errS := runPath(ctxS, p.Clone())
 			for _, w := range []int{2, 4} {
 				ctxW := &Ctx{DB: db, Q: q, Controller: NopController{}, MaxMatRows: limit}
-				_, _, errW := runPathWorkers(ctxW, p.Clone(), w)
+				_, errW := runPathWorkers(ctxW, p.Clone(), w)
 				if !sameTypedError(errS, errW) {
-					t.Fatalf("%s/%s limit %d w=%d: scalar err %v, parallel err %v", q.SQL(), variant, limit, w, errS, errW)
+					t.Fatalf("%s/%s limit %d w=%d: serial err %v, parallel err %v", q.SQL(), variant, limit, w, errS, errW)
 				}
 				if ctxW.MatRows() != ctxS.MatRows() {
-					t.Fatalf("%s/%s limit %d w=%d: matRows %d, scalar %d",
+					t.Fatalf("%s/%s limit %d w=%d: matRows %d, serial %d",
 						q.SQL(), variant, limit, w, ctxW.MatRows(), ctxS.MatRows())
 				}
 				if errS == nil && ctxW.Work() != ctxS.Work() {
-					t.Fatalf("%s/%s limit %d w=%d: work %d, scalar %d",
+					t.Fatalf("%s/%s limit %d w=%d: work %d, serial %d",
 						q.SQL(), variant, limit, w, ctxW.Work(), ctxS.Work())
 				}
 			}
@@ -207,12 +177,12 @@ func TestScalarBatchParallelEquivalenceUnderReoptSignal(t *testing.T) {
 		p := CanonicalPlan(q, q.AllTablesMask())
 		failMask := p.Left.Right.Tables
 		rcS := &ckptRecorder{failAt: failMask}
-		_, _, errS := runPath(&Ctx{DB: db, Q: q, Controller: rcS}, p.Clone(), false)
+		_, errS := runPath(&Ctx{DB: db, Q: q, Controller: rcS}, p.Clone())
 		for _, w := range []int{2, 4} {
 			rcW := &ckptRecorder{failAt: failMask}
-			_, _, errW := runPathWorkers(&Ctx{DB: db, Q: q, Controller: rcW}, p.Clone(), w)
+			_, errW := runPathWorkers(&Ctx{DB: db, Q: q, Controller: rcW}, p.Clone(), w)
 			if !sameTypedError(errS, errW) {
-				t.Fatalf("%s w=%d: scalar err %v, parallel err %v", q.SQL(), w, errS, errW)
+				t.Fatalf("%s w=%d: serial err %v, parallel err %v", q.SQL(), w, errS, errW)
 			}
 			var sig *ReoptSignal
 			if !errors.As(errW, &sig) || sig.Node.Tables != failMask {
@@ -234,7 +204,7 @@ func TestScalarBatchParallelEquivalenceUnderCancellation(t *testing.T) {
 	equivCorpus(t, db, 45, 3, func(q *query.Query, p *plan.Node, variant string) {
 		for _, w := range []int{2, 4} {
 			ctxW := &Ctx{DB: db, Q: q, Controller: NopController{}, Context: cancelled}
-			_, _, errW := runPathWorkers(ctxW, p.Clone(), w)
+			_, errW := runPathWorkers(ctxW, p.Clone(), w)
 			if !errors.Is(errW, context.Canceled) {
 				t.Fatalf("%s/%s w=%d: expected context.Canceled, got %v", q.SQL(), variant, w, errW)
 			}
@@ -244,34 +214,28 @@ func TestScalarBatchParallelEquivalenceUnderCancellation(t *testing.T) {
 
 // TestScalarBatchParallelWithTraceAndWrap checks that the exchange composes
 // with the observability shims (aggregated per-node Rows/ActualRows match
-// the scalar trace) and that scalar-level wrappers force the affected
-// pipelines back to the serial batch path without changing results.
+// the serial trace) and that ctx.Wrap shims force the affected pipelines
+// back to the serial batch path without changing results.
 func TestScalarBatchParallelWithTraceAndWrap(t *testing.T) {
 	shrinkMorsels(t)
 	db := testutil.TinyDB()
-	wrapEven := func(ctx *Ctx, op Operator, n *plan.Node) Operator {
-		if len(n.Tables.Indices())%2 == 0 {
-			return passThrough{op}
-		}
-		return op
-	}
 	for _, wrap := range []WrapFunc{nil, wrapEven} {
 		equivCorpus(t, db, 46, 4, func(q *query.Query, p *plan.Node, variant string) {
 			trS := &obs.ExecTrace{}
 			ctxS := &Ctx{DB: db, Q: q, Controller: NopController{}, Trace: trS, Wrap: wrap}
-			cS, hS, errS := runPath(ctxS, p.Clone(), false)
+			dS, errS := runPath(ctxS, p.Clone())
 			if errS != nil {
-				t.Fatalf("%s/%s: scalar err %v", q.SQL(), variant, errS)
+				t.Fatalf("%s/%s: serial err %v", q.SQL(), variant, errS)
 			}
 			for _, w := range []int{2, 4} {
 				trW := &obs.ExecTrace{}
 				ctxW := &Ctx{DB: db, Q: q, Controller: NopController{}, Trace: trW, Wrap: wrap}
-				cW, hW, errW := runPathWorkers(ctxW, p.Clone(), w)
+				dW, errW := runPathWorkers(ctxW, p.Clone(), w)
 				if errW != nil {
 					t.Fatalf("%s/%s w=%d: err %v", q.SQL(), variant, w, errW)
 				}
-				if cW != cS || hW != hS {
-					t.Fatalf("%s/%s w=%d: results differ under trace (counts %d/%d)", q.SQL(), variant, w, cW, cS)
+				if dW.count != dS.count || dW.ordered != dS.ordered {
+					t.Fatalf("%s/%s w=%d: results differ under trace (counts %d/%d)", q.SQL(), variant, w, dW.count, dS.count)
 				}
 				for _, s := range trS.Ops {
 					b := trW.ByMask(s.Mask)
@@ -279,7 +243,7 @@ func TestScalarBatchParallelWithTraceAndWrap(t *testing.T) {
 						t.Fatalf("%s/%s w=%d: parallel trace missing op at %b", q.SQL(), variant, w, uint32(s.Mask))
 					}
 					if b.Rows != s.Rows || b.ActualRows != s.ActualRows {
-						t.Fatalf("%s/%s w=%d: trace at %b: scalar rows=%d actual=%v, parallel rows=%d actual=%v",
+						t.Fatalf("%s/%s w=%d: trace at %b: serial rows=%d actual=%v, parallel rows=%d actual=%v",
 							q.SQL(), variant, w, uint32(s.Mask), s.Rows, s.ActualRows, b.Rows, b.ActualRows)
 					}
 				}
@@ -300,13 +264,13 @@ func TestScalarBatchParallelNoGoroutineLeaks(t *testing.T) {
 	equivCorpus(t, db, 47, 3, func(q *query.Query, p *plan.Node, variant string) {
 		for _, w := range []int{2, 8} {
 			ctxOK := &Ctx{DB: db, Q: q, Controller: NopController{}}
-			if _, _, err := runPathWorkers(ctxOK, p.Clone(), w); err != nil {
+			if _, err := runPathWorkers(ctxOK, p.Clone(), w); err != nil {
 				t.Fatalf("%s/%s w=%d: %v", q.SQL(), variant, w, err)
 			}
 			ctxB := &Ctx{DB: db, Q: q, Controller: NopController{}, Budget: 10}
-			_, _, _ = runPathWorkers(ctxB, p.Clone(), w)
+			_, _ = runPathWorkers(ctxB, p.Clone(), w)
 			ctxC := &Ctx{DB: db, Q: q, Controller: NopController{}, Context: cancelled}
-			_, _, _ = runPathWorkers(ctxC, p.Clone(), w)
+			_, _ = runPathWorkers(ctxC, p.Clone(), w)
 		}
 	})
 	deadline := time.Now().Add(5 * time.Second)

@@ -21,7 +21,7 @@ func TestTraceRecordsEveryOperator(t *testing.T) {
 	tr := &obs.ExecTrace{}
 	ctx := newCtx(db, q)
 	ctx.Trace = tr
-	count, err := Run(ctx, p)
+	count, err := RunBatch(ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestTraceMarksAbortedOperators(t *testing.T) {
 	ctx := newCtx(db, q)
 	ctx.Budget = 10
 	ctx.Trace = tr
-	if _, err := Run(ctx, p); err == nil {
+	if _, err := RunBatch(ctx, p); err == nil {
 		t.Fatal("expected budget error")
 	}
 	if len(tr.Ops) == 0 {
@@ -86,13 +86,13 @@ func TestTraceIdenticalResults(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		q := g.Query(3)
 		plain := newCtx(db, q)
-		want, err := Run(plain, CanonicalPlan(q, q.AllTablesMask()))
+		want, err := RunBatch(plain, CanonicalPlan(q, q.AllTablesMask()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		traced := newCtx(db, q)
 		traced.Trace = &obs.ExecTrace{}
-		got, err := Run(traced, CanonicalPlan(q, q.AllTablesMask()))
+		got, err := RunBatch(traced, CanonicalPlan(q, q.AllTablesMask()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func BenchmarkExecTraceOff(b *testing.B) {
 	_ = q
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(ctx, p); err != nil {
+		if _, err := RunBatch(ctx, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -136,7 +136,7 @@ func BenchmarkExecTraceOn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ctx.Trace = &obs.ExecTrace{}
-		if _, err := Run(ctx, p); err != nil {
+		if _, err := RunBatch(ctx, p); err != nil {
 			b.Fatal(err)
 		}
 	}

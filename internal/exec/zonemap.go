@@ -15,7 +15,7 @@ import (
 //
 // The contract with the equivalence suites: pruning changes which values
 // are *read*, never which rows qualify or how much work is *charged* — the
-// per-chunk ctx.charge(hi-lo) stays exactly the scalar scan's accounting,
+// per-chunk ctx.charge(hi-lo) stays exactly the raw scan's accounting,
 // so Work(), checkpoints, and budget errors are byte-identical to the raw
 // path for any worker count. Wall time, not work units, is where skipping
 // pays.

@@ -14,11 +14,10 @@ import (
 // The zone-map scan path must be byte-identical to the raw path: pruning
 // and encoded-form filtering change which values are read, never which
 // rows qualify, how much work is charged, or what any observer sees. These
-// tests sweep the same randomized corpus as the scalar/batch equivalence
-// suite with the segment layer engaged (segments shrunk so tiny fixtures
-// split into many), compare against both the scalar oracle and the
-// RawScan escape hatch, and pin the ≥50% skip rate on selective reference
-// queries.
+// tests sweep the same randomized corpus as the batch equivalence suite
+// with the segment layer engaged (segments shrunk so tiny fixtures split
+// into many), compare against both the collect evaluator and the RawScan
+// escape hatch, and pin the ≥50% skip rate on selective reference queries.
 
 func TestSegPrune(t *testing.T) {
 	col := &catalog.Column{}
@@ -67,43 +66,39 @@ func segTinyDB(t *testing.T) *storage.Database {
 	return datagen.Generate(datagen.Config{Titles: 300, Seed: 42})
 }
 
-// TestZoneMapScanEquivalence compares, over the full plan-variant corpus:
-// the scalar oracle, the batch path reading raw columns (RawScan), and the
-// batch path reading through segments with zone maps. Counts, row-content
-// hashes, work totals, materialization totals, and TrueCard stamps must
-// all be identical.
+// TestZoneMapScanEquivalence compares, over the full plan-variant corpus,
+// the batch path reading raw columns (RawScan) with the batch path reading
+// through segments with zone maps: counts, row-content hashes in order,
+// work totals, materialization totals, and TrueCard stamps must all be
+// identical, and both must match the collect evaluator.
 func TestZoneMapScanEquivalence(t *testing.T) {
 	db := segTinyDB(t)
 	reg := obs.NewRegistry()
 	equivCorpus(t, db, 51, 10, func(q *query.Query, p *plan.Node, variant string) {
-		ps, pr, pz := p.Clone(), p.Clone(), p.Clone()
-		ctxS := &Ctx{DB: db, Q: q, Controller: NopController{}}
+		pr, pz := p.Clone(), p.Clone()
 		ctxR := &Ctx{DB: db, Q: q, Controller: NopController{}, RawScan: true}
 		ctxZ := &Ctx{DB: db, Q: q, Controller: NopController{}, Metrics: reg}
-		cS, hS, errS := runPath(ctxS, ps, false)
-		cR, hR, errR := runPath(ctxR, pr, true)
-		cZ, hZ, errZ := runPath(ctxZ, pz, true)
-		if errS != nil || errR != nil || errZ != nil {
-			t.Fatalf("%s/%s: errs scalar=%v raw=%v zone=%v", q.SQL(), variant, errS, errR, errZ)
+		dR, errR := runPath(ctxR, pr)
+		dZ, errZ := runPath(ctxZ, pz)
+		if errR != nil || errZ != nil {
+			t.Fatalf("%s/%s: errs raw=%v zone=%v", q.SQL(), variant, errR, errZ)
 		}
-		if cS != cR || cS != cZ {
-			t.Fatalf("%s/%s: counts scalar=%d raw=%d zone=%d", q.SQL(), variant, cS, cR, cZ)
+		if dR != dZ {
+			t.Fatalf("%s/%s: rows raw=%+v zone=%+v", q.SQL(), variant, dR, dZ)
 		}
-		if hS != hR || hS != hZ {
-			t.Fatalf("%s/%s: row hashes scalar=%x raw=%x zone=%x", q.SQL(), variant, hS, hR, hZ)
+		if ctxR.Work() != ctxZ.Work() {
+			t.Fatalf("%s/%s: work raw=%d zone=%d", q.SQL(), variant, ctxR.Work(), ctxZ.Work())
 		}
-		if ctxS.Work() != ctxZ.Work() || ctxR.Work() != ctxZ.Work() {
-			t.Fatalf("%s/%s: work scalar=%d raw=%d zone=%d", q.SQL(), variant, ctxS.Work(), ctxR.Work(), ctxZ.Work())
+		if ctxR.MatRows() != ctxZ.MatRows() {
+			t.Fatalf("%s/%s: matRows raw=%d zone=%d", q.SQL(), variant, ctxR.MatRows(), ctxZ.MatRows())
 		}
-		if ctxS.MatRows() != ctxZ.MatRows() {
-			t.Fatalf("%s/%s: matRows scalar=%d zone=%d", q.SQL(), variant, ctxS.MatRows(), ctxZ.MatRows())
-		}
-		tcS, tcZ := trueCards(ps), trueCards(pz)
-		for mask, v := range tcS {
+		tcR, tcZ := trueCards(pr), trueCards(pz)
+		for mask, v := range tcR {
 			if tcZ[mask] != v {
-				t.Fatalf("%s/%s: TrueCard at %b: scalar %v, zone %v", q.SQL(), variant, uint32(mask), v, tcZ[mask])
+				t.Fatalf("%s/%s: TrueCard at %b: raw %v, zone %v", q.SQL(), variant, uint32(mask), v, tcZ[mask])
 			}
 		}
+		collectReference(t, db, q, pz).check(t, pz, dZ, q.SQL()+"/"+variant)
 	})
 	if reg.Counter("storage.segments_total").Value() == 0 {
 		t.Fatal("corpus never engaged the segment scan path")
@@ -120,7 +115,7 @@ func TestZoneMapParallelEquivalence(t *testing.T) {
 	equivCorpus(t, db, 52, 6, func(q *query.Query, p *plan.Node, variant string) {
 		regS := obs.NewRegistry()
 		ctxS := &Ctx{DB: db, Q: q, Controller: NopController{}, Metrics: regS}
-		cS, hS, errS := runPath(ctxS, p.Clone(), true)
+		dS, errS := runPath(ctxS, p.Clone())
 		if errS != nil {
 			t.Fatalf("%s/%s: serial err %v", q.SQL(), variant, errS)
 		}
@@ -128,12 +123,12 @@ func TestZoneMapParallelEquivalence(t *testing.T) {
 		for _, w := range parallelWorkerCounts {
 			regW := obs.NewRegistry()
 			ctxW := &Ctx{DB: db, Q: q, Controller: NopController{}, Metrics: regW}
-			cW, hW, errW := runPathWorkers(ctxW, p.Clone(), w)
+			dW, errW := runPathWorkers(ctxW, p.Clone(), w)
 			if errW != nil {
 				t.Fatalf("%s/%s w=%d: err %v", q.SQL(), variant, w, errW)
 			}
-			if cW != cS || hW != hS {
-				t.Fatalf("%s/%s w=%d: count/hash %d/%x, serial %d/%x", q.SQL(), variant, w, cW, hW, cS, hS)
+			if dW.count != dS.count || dW.ordered != dS.ordered {
+				t.Fatalf("%s/%s w=%d: count/hash %d/%x, serial %d/%x", q.SQL(), variant, w, dW.count, dW.ordered, dS.count, dS.ordered)
 			}
 			if ctxW.Work() != ctxS.Work() {
 				t.Fatalf("%s/%s w=%d: work %d, serial %d", q.SQL(), variant, w, ctxW.Work(), ctxS.Work())
@@ -188,19 +183,19 @@ func TestZoneMapSkipRateReference(t *testing.T) {
 		mkPlan := func() *plan.Node { return plan.NewLeaf(plan.SeqScan, meta, 0, ps) }
 
 		rawCtx := &Ctx{DB: db, Q: q, RawScan: true, Controller: NopController{}}
-		cRaw, hRaw, err := runPath(rawCtx, mkPlan(), true)
+		dRaw, err := runPath(rawCtx, mkPlan())
 		if err != nil {
 			t.Fatalf("%s: raw path: %v", name, err)
 		}
 
 		reg := obs.NewRegistry()
 		zCtx := &Ctx{DB: db, Q: q, Metrics: reg, Controller: NopController{}}
-		cZ, hZ, err := runPath(zCtx, mkPlan(), true)
+		dZ, err := runPath(zCtx, mkPlan())
 		if err != nil {
 			t.Fatalf("%s: zone path: %v", name, err)
 		}
-		if cZ != cRaw || hZ != hRaw {
-			t.Fatalf("%s: zone path count/hash %d/%x, raw %d/%x", name, cZ, hZ, cRaw, hRaw)
+		if dZ != dRaw {
+			t.Fatalf("%s: zone path rows %+v, raw %+v", name, dZ, dRaw)
 		}
 		if rawCtx.Work() != zCtx.Work() {
 			t.Fatalf("%s: zone path work %d, raw %d", name, zCtx.Work(), rawCtx.Work())
@@ -216,12 +211,12 @@ func TestZoneMapSkipRateReference(t *testing.T) {
 
 		for _, w := range parallelWorkerCounts {
 			wCtx := &Ctx{DB: db, Q: q, Controller: NopController{}}
-			cW, hW, err := runPathWorkers(wCtx, mkPlan(), w)
+			dW, err := runPathWorkers(wCtx, mkPlan(), w)
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", name, w, err)
 			}
-			if cW != cRaw || hW != hRaw {
-				t.Fatalf("%s w=%d: count/hash %d/%x, raw %d/%x", name, w, cW, hW, cRaw, hRaw)
+			if dW != dRaw {
+				t.Fatalf("%s w=%d: rows %+v, raw %+v", name, w, dW, dRaw)
 			}
 		}
 	}
@@ -238,12 +233,12 @@ func TestZoneMapUnsealedFallback(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	ctx := &Ctx{DB: db, Q: q, Metrics: reg, Controller: NopController{}}
-	c0, _, err := runPath(ctx, plan.NewLeaf(plan.SeqScan, meta, 0, preds), true)
+	d0, err := runPath(ctx, plan.NewLeaf(plan.SeqScan, meta, 0, preds))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c0 != 0 {
-		t.Fatalf("pre-append count = %d, want 0", c0)
+	if d0.count != 0 {
+		t.Fatalf("pre-append count = %d, want 0", d0.count)
 	}
 	if v := reg.Counter("storage.segments_skipped").Value(); v != 16 {
 		t.Fatalf("pre-append skipped = %d, want 16 (grp 16 nowhere)", v)
@@ -258,12 +253,12 @@ func TestZoneMapUnsealedFallback(t *testing.T) {
 	tbl.MaintenanceAppend(rows)
 	reg2 := obs.NewRegistry()
 	ctx2 := &Ctx{DB: db, Q: q, Metrics: reg2, Controller: NopController{}}
-	c1, _, err := runPath(ctx2, plan.NewLeaf(plan.SeqScan, meta, 0, preds), true)
+	d1, err := runPath(ctx2, plan.NewLeaf(plan.SeqScan, meta, 0, preds))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1 != 100 {
-		t.Fatalf("post-append count = %d, want 100", c1)
+	if d1.count != 100 {
+		t.Fatalf("post-append count = %d, want 100", d1.count)
 	}
 	if v := reg2.Counter("storage.segments_total").Value(); v != 0 {
 		t.Fatalf("unsealed scan recorded %d segments; segment path should disengage", v)
@@ -274,12 +269,12 @@ func TestZoneMapUnsealedFallback(t *testing.T) {
 	tbl.FinishLoad()
 	reg3 := obs.NewRegistry()
 	ctx3 := &Ctx{DB: db, Q: q, Metrics: reg3, Controller: NopController{}}
-	c2, _, err := runPath(ctx3, plan.NewLeaf(plan.SeqScan, meta, 0, preds), true)
+	d2, err := runPath(ctx3, plan.NewLeaf(plan.SeqScan, meta, 0, preds))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2 != 100 {
-		t.Fatalf("post-reseal count = %d, want 100", c2)
+	if d2.count != 100 {
+		t.Fatalf("post-reseal count = %d, want 100", d2.count)
 	}
 	if v := reg3.Counter("storage.segments_total").Value(); v != 17 {
 		t.Fatalf("post-reseal segments_total = %d, want 17", v)

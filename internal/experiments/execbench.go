@@ -13,20 +13,16 @@ import (
 	"github.com/lpce-db/lpce/internal/storage"
 )
 
-// ExecBenchResult is the scalar-vs-batch executor benchmark recorded in
-// BENCH_e2e.json. Two measurements: a synthetic hash-join probe hot path
-// (the workload the vectorized executor targets — per-tuple interface
-// calls, per-tuple hashing, Go-map probes), and the environment's JOB-like
-// suite executed end to end on both paths with the counts compared.
+// ExecBenchResult is the executor benchmark recorded in BENCH_e2e.json.
+// Two measurements: a synthetic hash-join probe hot path (the workload the
+// vectorized executor targets), and the environment's JOB-like suite
+// executed end to end, with every result count checked against the collect
+// evaluator, which shares no operator code with the batch engine.
 type ExecBenchResult struct {
 	// Hot path: probe ProbeRows rows against a build side of BuildRows.
-	BuildRows          int     `json:"build_rows"`
-	ProbeRows          int     `json:"probe_rows"`
-	ScalarProbeSeconds float64 `json:"scalar_probe_seconds"`
-	BatchProbeSeconds  float64 `json:"batch_probe_seconds"`
-	// Speedup is scalar/batch time on the probe hot path; the bench gate
-	// fails when it drops below 1 (batch slower than scalar).
-	Speedup float64 `json:"speedup"`
+	BuildRows         int     `json:"build_rows"`
+	ProbeRows         int     `json:"probe_rows"`
+	BatchProbeSeconds float64 `json:"batch_probe_seconds"`
 
 	// ExecWorkers is the morsel-parallelism worker count the parallel
 	// measurements ran with; 0 when the parallel pass was skipped. The
@@ -37,8 +33,8 @@ type ExecBenchResult struct {
 	// benchdiff gate only rejects it exceeding serial by more than 10%).
 	ExecWorkers          int     `json:"exec_workers,omitempty"`
 	ParallelProbeSeconds float64 `json:"parallel_probe_seconds,omitempty"`
-	// ParallelSpeedup is serial-batch/parallel-batch time on the probe hot
-	// path (not scalar/parallel), isolating what the exchange adds.
+	// ParallelSpeedup is serial/parallel batch time on the probe hot path,
+	// isolating what the exchange adds.
 	ParallelSpeedup float64 `json:"parallel_speedup,omitempty"`
 
 	// Build wall: the vecTable build phase alone (drain and probe excluded)
@@ -52,14 +48,12 @@ type ExecBenchResult struct {
 
 	// Suite: executor wall (T_E only) across the JOB-like queries.
 	SuiteQueries         int     `json:"suite_queries"`
-	SuiteScalarSeconds   float64 `json:"suite_scalar_exec_seconds"`
 	SuiteBatchSeconds    float64 `json:"suite_batch_exec_seconds"`
-	SuiteSpeedup         float64 `json:"suite_speedup"`
 	SuiteParallelSeconds float64 `json:"suite_parallel_exec_seconds,omitempty"`
 	SuiteParallelSpeedup float64 `json:"suite_parallel_speedup,omitempty"`
-	// CountsIdentical asserts every measured path — scalar, batch, and the
-	// morsel-parallel batch when enabled — returned the same COUNT(*) for
-	// every suite query and for the probe hot path.
+	// CountsIdentical asserts every measured path — batch, and the
+	// morsel-parallel batch when enabled — returned the collect evaluator's
+	// COUNT(*) for every suite query and for the probe hot path.
 	CountsIdentical bool `json:"counts_identical"`
 }
 
@@ -91,11 +85,11 @@ func execBenchDB(buildRows, probeRows int) (*storage.Database, *query.Query) {
 	return db, q
 }
 
-// ExecBench measures the batch executor against the scalar reference, and —
-// when execWorkers > 1 — the morsel-parallel batch path against both. The
-// hot-path numbers are best-of-reps to shed scheduler noise; the suite
-// numbers are single-pass sums of executor wall time under the PostgreSQL
-// (histogram) configuration.
+// ExecBench times the batch executor and — when execWorkers > 1 — the
+// morsel-parallel batch path, checking every count against RunCollect off
+// the clock. The hot-path numbers are best-of-reps to shed scheduler noise;
+// the suite numbers are single-pass sums of executor wall time under the
+// PostgreSQL (histogram) configuration.
 func ExecBench(e *Env, execWorkers int) (*ExecBenchResult, error) {
 	const buildRows, probeRows, reps = 4096, 1 << 16, 5
 	res := &ExecBenchResult{BuildRows: buildRows, ProbeRows: probeRows, CountsIdentical: true}
@@ -104,62 +98,39 @@ func ExecBench(e *Env, execWorkers int) (*ExecBenchResult, error) {
 	}
 
 	db, q := execBenchDB(buildRows, probeRows)
-	// mode: 0 = scalar, 1 = batch, 2 = morsel-parallel batch.
-	best := func(mode int) (float64, int, error) {
+	want, err := exec.RunCollect(&exec.Ctx{DB: db, Q: q}, planOnly(q))
+	if err != nil {
+		return nil, err
+	}
+	best := func(workers int) (float64, error) {
 		bestSec := 0.0
-		count := 0
 		for r := 0; r < reps; r++ {
+			ctx := &exec.Ctx{DB: db, Q: q, ExecWorkers: workers}
 			pl := planOnly(q)
-			ctx := &exec.Ctx{DB: db, Q: q}
-			if mode == 2 {
-				ctx.ExecWorkers = execWorkers
-			}
 			start := time.Now()
-			var c int
-			var err error
-			if mode != 0 {
-				c, err = exec.RunBatch(ctx, pl)
-			} else {
-				c, err = exec.Run(ctx, pl)
-			}
+			c, err := exec.RunBatch(ctx, pl)
 			sec := time.Since(start).Seconds()
 			if err != nil {
-				return 0, 0, err
+				return 0, err
 			}
 			if bestSec == 0 || sec < bestSec {
 				bestSec = sec
 			}
-			count = c
+			if c != want {
+				res.CountsIdentical = false
+			}
 		}
-		return bestSec, count, nil
+		return bestSec, nil
 	}
-	scalarSec, scalarCount, err := best(0)
-	if err != nil {
+	if res.BatchProbeSeconds, err = best(0); err != nil {
 		return nil, err
-	}
-	batchSec, batchCount, err := best(1)
-	if err != nil {
-		return nil, err
-	}
-	if scalarCount != batchCount {
-		res.CountsIdentical = false
-	}
-	res.ScalarProbeSeconds = scalarSec
-	res.BatchProbeSeconds = batchSec
-	if batchSec > 0 {
-		res.Speedup = scalarSec / batchSec
 	}
 	if res.ExecWorkers > 1 {
-		parSec, parCount, err := best(2)
-		if err != nil {
+		if res.ParallelProbeSeconds, err = best(execWorkers); err != nil {
 			return nil, err
 		}
-		if parCount != batchCount {
-			res.CountsIdentical = false
-		}
-		res.ParallelProbeSeconds = parSec
-		if parSec > 0 {
-			res.ParallelSpeedup = batchSec / parSec
+		if res.ParallelProbeSeconds > 0 {
+			res.ParallelSpeedup = res.BatchProbeSeconds / res.ParallelProbeSeconds
 		}
 	}
 
@@ -173,25 +144,30 @@ func ExecBench(e *Env, execWorkers int) (*ExecBenchResult, error) {
 		res.ParallelBuildWallSeconds = buildPar
 	}
 
-	// Suite comparison: the JOB-like queries end to end, summing executor
-	// wall only, with the result counts cross-checked.
+	// Suite: the JOB-like queries end to end, summing executor wall only,
+	// with the result counts checked against the collect evaluator.
 	queries, err := joblike.Queries(e.DB.Schema)
 	if err != nil {
 		return nil, err
 	}
 	eng := engine.New(e.DB)
 	cfg := engine.Config{Estimator: e.Histogram, Budget: e.P.budget}
-	counts := make(map[string]int)
-	modes := []int{0, 1}
+	workerModes := []int{0}
 	if res.ExecWorkers > 1 {
-		modes = append(modes, 2)
+		workerModes = append(workerModes, execWorkers)
 	}
-	for _, mode := range modes {
-		c := cfg
-		c.ScalarExec = mode == 0
-		if mode == 2 {
-			c.ExecWorkers = execWorkers
+	counts := make(map[string]int)
+	for _, name := range joblike.Names() {
+		q := queries[name]
+		c, err := exec.RunCollect(&exec.Ctx{DB: e.DB, Q: q}, exec.CanonicalPlan(q, q.AllTablesMask()))
+		if err != nil {
+			return nil, fmt.Errorf("execbench %s: collect: %w", name, err)
 		}
+		counts[name] = c
+	}
+	for _, workers := range workerModes {
+		c := cfg
+		c.ExecWorkers = workers
 		var wall time.Duration
 		for _, name := range joblike.Names() {
 			r, err := eng.Execute(queries[name], c)
@@ -199,25 +175,17 @@ func ExecBench(e *Env, execWorkers int) (*ExecBenchResult, error) {
 				return nil, fmt.Errorf("execbench %s: %w", name, err)
 			}
 			wall += r.ExecTime
-			if mode == 0 {
-				counts[name] = r.Count
-			} else if counts[name] != r.Count {
+			if r.Count != counts[name] {
 				res.CountsIdentical = false
 			}
 		}
-		switch mode {
-		case 0:
-			res.SuiteScalarSeconds = wall.Seconds()
-		case 1:
+		if workers == 0 {
 			res.SuiteBatchSeconds = wall.Seconds()
-		case 2:
+		} else {
 			res.SuiteParallelSeconds = wall.Seconds()
 		}
 	}
 	res.SuiteQueries = len(joblike.Names())
-	if res.SuiteBatchSeconds > 0 {
-		res.SuiteSpeedup = res.SuiteScalarSeconds / res.SuiteBatchSeconds
-	}
 	if res.SuiteParallelSeconds > 0 {
 		res.SuiteParallelSpeedup = res.SuiteBatchSeconds / res.SuiteParallelSeconds
 	}
@@ -235,17 +203,13 @@ func planOnly(q *query.Query) *plan.Node {
 // Render formats the benchmark for terminal output.
 func (r *ExecBenchResult) Render() string {
 	t := &Table{
-		Title: fmt.Sprintf("Executor: scalar vs batch (probe %d rows x build %d, counts identical: %v)",
+		Title: fmt.Sprintf("Executor: batch (probe %d rows x build %d, counts match collect: %v)",
 			r.ProbeRows, r.BuildRows, r.CountsIdentical),
-		Header: []string{"workload", "scalar", "batch", "speedup"},
+		Header: []string{"workload", "batch"},
 	}
-	t.AddRow("hash-join probe", FmtDur(r.ScalarProbeSeconds), FmtDur(r.BatchProbeSeconds),
-		fmt.Sprintf("%.2fx", r.Speedup))
-	t.AddRow(fmt.Sprintf("JOB-like suite T_E (%d queries)", r.SuiteQueries),
-		FmtDur(r.SuiteScalarSeconds), FmtDur(r.SuiteBatchSeconds),
-		fmt.Sprintf("%.2fx", r.SuiteSpeedup))
-	t.AddRow(fmt.Sprintf("hash build wall (%d rows)", r.BuildBenchRows),
-		FmtDur(r.BuildWallSeconds), "", "")
+	t.AddRow("hash-join probe", FmtDur(r.BatchProbeSeconds))
+	t.AddRow(fmt.Sprintf("JOB-like suite T_E (%d queries)", r.SuiteQueries), FmtDur(r.SuiteBatchSeconds))
+	t.AddRow(fmt.Sprintf("hash build wall (%d rows)", r.BuildBenchRows), FmtDur(r.BuildWallSeconds))
 	out := t.String()
 	if r.ExecWorkers > 1 {
 		p := &Table{

@@ -37,6 +37,20 @@ func TestSetupEnvironment(t *testing.T) {
 	}
 }
 
+// TestServerBenchLatencyPercentiles pins the server benchmark's p50_ms and
+// p99_ms to Percentile's 0–100 scale: over latencies 1..100 they are the
+// median and the 99th percentile, not the 0.5th and 0.99th.
+func TestServerBenchLatencyPercentiles(t *testing.T) {
+	ms := make([]float64, 100)
+	for i := range ms {
+		ms[len(ms)-1-i] = float64(i + 1) // unsorted input
+	}
+	p50, p99 := latencyPercentiles(ms)
+	if math.Abs(p50-50.5) > 1e-9 || math.Abs(p99-99.01) > 1e-9 {
+		t.Fatalf("p50 = %v, p99 = %v; want 50.5 and 99.01", p50, p99)
+	}
+}
+
 func TestPercentileAndMean(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5}
 	if Percentile(vals, 0) != 1 || Percentile(vals, 100) != 5 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,7 +182,7 @@ func ServerBench(e *Env, workers int) (*ServerBenchResult, error) {
 	wall := time.Since(start)
 
 	snap := srv.MetricsSnapshot()
-	sort.Float64s(latencies)
+	p50, p99 := latencyPercentiles(latencies)
 	r := &ServerBenchResult{
 		Tenants:         2,
 		Workers:         workers,
@@ -193,8 +192,8 @@ func ServerBench(e *Env, workers int) (*ServerBenchResult, error) {
 		Swaps:           snap.Counters["server.model_swaps"],
 		WallSeconds:     wall.Seconds(),
 		QPS:             float64(n) / wall.Seconds(),
-		P50Millis:       Percentile(latencies, 0.50),
-		P99Millis:       Percentile(latencies, 0.99),
+		P50Millis:       p50,
+		P99Millis:       p99,
 		Served:          served,
 		Shed:            shed,
 		Retries:         retries.Load(),
@@ -203,4 +202,10 @@ func ServerBench(e *Env, workers int) (*ServerBenchResult, error) {
 		CountsIdentical: identical && errCount == 0,
 	}
 	return r, nil
+}
+
+// latencyPercentiles returns the p50 and p99 of per-request latencies, on
+// Percentile's 0–100 scale.
+func latencyPercentiles(ms []float64) (p50, p99 float64) {
+	return Percentile(ms, 50), Percentile(ms, 99)
 }

@@ -13,6 +13,7 @@ import (
 	"github.com/lpce-db/lpce/internal/fault"
 	"github.com/lpce-db/lpce/internal/histogram"
 	"github.com/lpce-db/lpce/internal/obs"
+	"github.com/lpce-db/lpce/internal/plan"
 	"github.com/lpce-db/lpce/internal/query"
 	"github.com/lpce-db/lpce/internal/testutil"
 	"github.com/lpce-db/lpce/internal/workload"
@@ -154,45 +155,55 @@ func TestChaosPoolSurvivesEstimatorAndOperatorFaults(t *testing.T) {
 	t.Logf("chaos: %d/%d degraded; guard %+v", degraded, len(queries), gs)
 }
 
-// TestChaosScalarBatchParity runs the chaos workload through the scalar
-// and the vectorized batch executor with identical operator-fault seeds.
-// Fault decisions are a pure hash of (query fingerprint, plan-node subset)
-// — independent of the executor — so the two paths must agree query by
-// query: the same results where execution succeeds, and the same injected
-// error where it does not. This pins the batch adapters (WrapFunc lowering
-// and lifting) to the scalar fault semantics.
-func TestChaosScalarBatchParity(t *testing.T) {
+// TestChaosFaultsMatchPrediction checks operator faults against a
+// prediction made without them. Fault decisions are a pure hash of (query
+// fingerprint, plan-node subset), so a clean run that records which
+// operators Ops selects, and how many rows each produces, predicts the
+// faulty run: a query must fail with the typed ErrInjected exactly when
+// some selected operator produced at least AtRow rows, and must otherwise
+// return the clean count.
+func TestChaosFaultsMatchPrediction(t *testing.T) {
 	db := testutil.TinyDB()
 	queries := chaosWorkload(t)
 	hist := histogram.NewEstimator(db)
 	eng := engine.New(db)
 	ops := &fault.Ops{Err: fault.Injector{Seed: 104, Rate: 0.04}, AtRow: 2}
-	mk := func(scalar bool) engine.Config {
-		return engine.Config{
-			Estimator:  hist,
-			ExecWrap:   ops.Wrap,
-			Limits:     engine.Limits{MaxMatRows: 2_000_000},
-			ScalarExec: scalar,
-		}
-	}
+	limits := engine.Limits{MaxMatRows: 2_000_000}
 
 	faulted, completed := 0, 0
 	for i, q := range queries {
-		sres, serr := eng.Execute(q, mk(true))
-		bres, berr := eng.Execute(q, mk(false))
+		var selected []*rowCounter
+		observe := func(ctx *exec.Ctx, op exec.BatchOperator, n *plan.Node) exec.BatchOperator {
+			if ops.Wrap(ctx, op, n) == op {
+				return op
+			}
+			c := &rowCounter{BatchOperator: op}
+			selected = append(selected, c)
+			return c
+		}
+		clean, err := eng.Execute(q, engine.Config{Estimator: hist, ExecWrap: observe, Limits: limits})
+		if err != nil {
+			t.Fatalf("query %d: clean run: %v", i, err)
+		}
+		predicted := false
+		for _, c := range selected {
+			predicted = predicted || c.rows >= ops.AtRow
+		}
+
+		res, err := eng.Execute(q, engine.Config{Estimator: hist, ExecWrap: ops.Wrap, Limits: limits})
 		switch {
-		case serr == nil && berr == nil:
-			completed++
-			if sres.Count != bres.Count {
-				t.Errorf("query %d: scalar count %d != batch count %d", i, sres.Count, bres.Count)
-			}
-		case serr != nil && berr != nil:
+		case predicted:
 			faulted++
-			if !errors.Is(serr, fault.ErrInjected) || !errors.Is(berr, fault.ErrInjected) {
-				t.Errorf("query %d: untyped chaos errors: scalar %v, batch %v", i, serr, berr)
+			if !errors.Is(err, fault.ErrInjected) {
+				t.Errorf("query %d: predicted an injected fault, got %v", i, err)
 			}
+		case err != nil:
+			t.Errorf("query %d: unpredicted error %v", i, err)
 		default:
-			t.Errorf("query %d: fault fired on one path only: scalar %v, batch %v", i, serr, berr)
+			completed++
+			if res.Count != clean.Count {
+				t.Errorf("query %d: count %d, clean run %d", i, res.Count, clean.Count)
+			}
 		}
 	}
 	if faulted == 0 || completed == 0 {
@@ -200,11 +211,25 @@ func TestChaosScalarBatchParity(t *testing.T) {
 	}
 }
 
-// TestChaosParallelExecParity re-runs the scalar/batch parity check with
-// morsel-driven intra-query parallelism on: for every worker count the
-// engine must fault exactly the same queries with the same typed errors and
-// return identical counts, result work, and materialization totals on the
-// clean ones. Faulted operators are scalar-wrapped, which forces their
+// rowCounter counts the rows an operator produces.
+type rowCounter struct {
+	exec.BatchOperator
+	rows int64
+}
+
+func (c *rowCounter) NextBatch(ctx *exec.Ctx) (*exec.Batch, error) {
+	b, err := c.BatchOperator.NextBatch(ctx)
+	if b != nil {
+		c.rows += int64(b.Len())
+	}
+	return b, err
+}
+
+// TestChaosParallelExecParity runs the chaos workload with morsel-driven
+// intra-query parallelism on: for every worker count the engine must fault
+// exactly the same queries as the serial run with the same typed errors and
+// return identical counts and work on the clean ones. Faulted operators are
+// wrapped, which makes them opaque to the exchange and forces their
 // pipelines back to the serial batch path — parity covers that fallback too.
 func TestChaosParallelExecParity(t *testing.T) {
 	t.Cleanup(exec.SetMorselSize(64)) // tiny fixtures must split into many morsels

@@ -71,7 +71,7 @@ func TestSuiteExecutes(t *testing.T) {
 			t.Fatalf("%s: plan: %v", name, err)
 		}
 		ctx := &exec.Ctx{DB: db, Q: q, Budget: 200_000_000}
-		got, err := exec.Run(ctx, p)
+		got, err := exec.RunBatch(ctx, p)
 		if err != nil {
 			t.Fatalf("%s: run: %v", name, err)
 		}

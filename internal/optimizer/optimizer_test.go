@@ -60,7 +60,7 @@ func TestPlanExecutesCorrectly(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := &exec.Ctx{DB: db, Q: q, Controller: exec.NopController{}}
-		got, err := exec.Run(ctx, p)
+		got, err := exec.RunBatch(ctx, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,11 +95,11 @@ func TestOraclePlansBeatBadEstimates(t *testing.T) {
 			t.Fatal(err)
 		}
 		co := &exec.Ctx{DB: db, Q: q}
-		if _, err := exec.Run(co, po); err != nil {
+		if _, err := exec.RunBatch(co, po); err != nil {
 			t.Fatal(err)
 		}
 		cf := &exec.Ctx{DB: db, Q: q}
-		if _, err := exec.Run(cf, pf); err != nil {
+		if _, err := exec.RunBatch(cf, pf); err != nil {
 			t.Fatal(err)
 		}
 		oracleWork += co.Work()
@@ -304,7 +304,7 @@ func TestOptimizerGuardsBadEstimates(t *testing.T) {
 		}
 	})
 	// and the plan still executes correctly
-	got, err := exec.Run(&exec.Ctx{DB: db, Q: q}, p)
+	got, err := exec.RunBatch(&exec.Ctx{DB: db, Q: q}, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestLeftDeepShapeEnforced(t *testing.T) {
 			}
 		})
 		// correctness preserved
-		got, err := exec.Run(&exec.Ctx{DB: db, Q: q}, p)
+		got, err := exec.RunBatch(&exec.Ctx{DB: db, Q: q}, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,7 @@ import (
 // layer — pruning whole segments whose zone map disproves a predicate and
 // decoding the survivors straight into its arena batches — while the flat
 // Cols slices remain the random-access store for index builds, the
-// sampling-based estimators, and the scalar oracle path.
+// sampling-based estimators, the RawScan path, and the collect oracle.
 //
 // Encodings are chosen per segment at build time:
 //

@@ -56,7 +56,7 @@ func TestDerivedQueriesExecuteCorrectly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := exec.Run(&exec.Ctx{DB: db, Q: q}, exec.CanonicalPlan(q, q.AllTablesMask()))
+		got, err := exec.RunBatch(&exec.Ctx{DB: db, Q: q}, exec.CanonicalPlan(q, q.AllTablesMask()))
 		if err != nil {
 			t.Fatal(err)
 		}
